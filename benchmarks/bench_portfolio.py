@@ -1,4 +1,4 @@
-"""Cooperative solver portfolio: diversified config race + vectorized BCP.
+"""Cooperative solver portfolio: diversified config race with clause exchange.
 
 The perf claims of the PR 9 portfolio overhaul, measured on the
 IEEE 30-bus boundary-probe workload — per target, the UNSAT probe one
@@ -7,16 +7,16 @@ search-dominated instances the paper's verification sweeps spend their
 time on:
 
 * ``race_configs`` (two diversified :class:`SolverConfig` contenders
-  cooperating through learned-clause exchange, vec BCP kernel) returns
+  cooperating through learned-clause exchange) returns
   **bit-identical** verdicts/witnesses/search traces to a solo solve of
   the winning configuration replaying its recorded import schedule
   (:func:`replay_config_solo`) — asserted for every timed repeat;
 * the combined speedup of the cooperative race over the pre-overhaul
-  reference engine (Fraction simplex, no propagation, Python BCP) meets
+  reference engine (Fraction simplex, no propagation) meets
   the gate: 2x on top of BENCH_pr4's 2.72x int+prop combined, i.e.
   **5.44x**, in both full and ``--smoke`` mode;
-* the solo new engine (sparse simplex + propagation + vec BCP, default
-  config) is reported alongside, so the report decomposes the win into
+* the solo new engine (sparse simplex + propagation, default config)
+  is reported alongside, so the report decomposes the win into
   the kernel share and the cooperative-racing share.
 
 The race is sized at two contenders: the cooperating pair beats either
@@ -59,18 +59,16 @@ RACE_SIZE = 2
 FULL_TARGETS = (8, 17, 21, 24, 27)
 SMOKE_TARGETS = (17, 27)
 
-#: engine environments; the race additionally passes sat_kernel="vec"
-#: and its children pin their own REPRO_SAT_CONFIG after the fork
+#: engine environments; the race children pin their own
+#: REPRO_SAT_CONFIG after the fork
 ENGINES = {
     "reference": {
         "REPRO_THEORY_KERNEL": "reference",
         "REPRO_THEORY_PROPAGATION": "0",
-        "REPRO_SAT_KERNEL": "python",
     },
     "solo-new": {
         "REPRO_THEORY_KERNEL": "sparse",
         "REPRO_THEORY_PROPAGATION": "1",
-        "REPRO_SAT_KERNEL": "vec",
     },
     "race-configs": {
         "REPRO_THEORY_KERNEL": "sparse",
@@ -148,10 +146,7 @@ def time_solo(engine, specs, repeats):
 def assert_replay_identical(spec, result, capture, name):
     """The determinism contract, enforced on every timed race."""
     replay = replay_config_solo(
-        spec,
-        capture["winner_config"],
-        capture["import_log"],
-        sat_kernel="vec",
+        spec, capture["winner_config"], capture["import_log"]
     )
     assert replay.outcome is result.outcome, (
         f"{name}: replay verdict diverged: "
@@ -181,9 +176,7 @@ def time_race(specs, repeats, race_size=RACE_SIZE):
             for _ in range(repeats):
                 capture = {}
                 start = time.perf_counter()
-                result = race_configs(
-                    spec, n=race_size, sat_kernel="vec", capture=capture
-                )
+                result = race_configs(spec, n=race_size, capture=capture)
                 elapsed = time.perf_counter() - start
                 best = elapsed if best is None else min(best, elapsed)
                 runs.append((result, capture))

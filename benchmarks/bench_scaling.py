@@ -4,8 +4,8 @@ The paper's Figures 4/5 plot verification cost against system size; the
 published evaluation stops at 300 buses.  This campaign reproduces the
 figure shape on the deterministic scaling ladder
 (``ieee14 .. ieee300, synthetic1000/2000/3000``) and measures what the
-sparse-control-flow theory kernel (``REPRO_THEORY_KERNEL=sparse``, the
-default) buys over the dense-control-flow integer kernel (``int``) as
+sparse integer theory kernel (``REPRO_THEORY_KERNEL=sparse``, the
+default) buys over the Fraction reference kernel (``reference``) as
 grids grow.
 
 Per grid the workload is the boundary-probe shape of
@@ -24,13 +24,37 @@ Asserted on every run:
 
 * outcomes, witnesses, and search counters identical between kernels
   on every instance (the bit-identity contract, at every size);
-* the sparse kernel meets the speedup gate on the large-grid workload
-  (>= 300 buses; default 2x, ``--gate`` to override);
-* no small-grid regression: sparse stays within tolerance of int on
-  the < 300-bus grids (default floor: 0.7x — those solves are a few
-  milliseconds, so the floor only catches real pathologies, not noise);
+* the sparse kernel meets the speedup gate over the reference on the
+  large-grid workload (>= 300 buses; ``--gate`` to override);
+* no small-grid regression: sparse clears a per-grid floor over the
+  reference on the < 300-bus grids;
 * a 1000-bus min-cost search (bus dimension, leaf-bus target) completes
   end-to-end on the sparse kernel.
+
+The gates used to compare sparse against the dense-control-flow
+``int`` kernel: sparse >= 2x over int at >= 300 buses, >= 0.7x of int
+below.  That kernel was folded into ``sparse``, so the gates are
+re-based on the reference without loosening them: each is the old
+sparse/int bar times the largest reference/int ratio measured on the
+parent commit's smoke ladder (``check()`` seconds, two-core container,
+three runs with all three kernels in rotating order; the grids below
+300 buses once timed in a single pass and again best of
+``SMALL_GRID_REPEATS``, the protocol they are gated on now):
+
+==============  ==================  ==================  =======  =============
+grid            single pass         best of 5           largest  floor
+==============  ==================  ==================  =======  =============
+ieee14          1.46 / 1.37 / 1.32  1.64 / 1.79 / 1.75  1.79     0.7x -> 1.25
+ieee57          1.53 / 2.17 / 2.74  1.83 / 2.05 / 1.90  2.74     0.7x -> 1.92
+ieee118         2.44 / 2.15 / 1.86  2.13 / 2.22 / 1.83  2.44     0.7x -> 1.71
+>= 300 buses    4.40 / 4.75 / 5.59  --                  5.59     2.0x -> 11.18
+pytest ieee57   2.18 / 1.03 / 2.21  1.95 / 2.22 / 2.05  2.22     0.7x -> 1.56
+pytest ieee300  1.90 / 1.79 / 2.10  --                  2.10     1.5x -> 3.15
+==============  ==================  ==================  =======  =============
+
+(">= 300 buses" is ieee300 + synthetic1000 summed; the pytest rows are
+the workloads of the pytest entry points below.  Floors are rounded
+up.)
 
 Results land in ``BENCH_pr6.json`` (``--out`` to relocate).  Run::
 
@@ -61,7 +85,10 @@ from repro.smt import Result  # noqa: E402
 #: kernel configurations compared (propagation off: it may change
 #: witnesses, which would break the per-instance identity assertions)
 ENGINES = {
-    "int": {"REPRO_THEORY_KERNEL": "int", "REPRO_THEORY_PROPAGATION": "0"},
+    "reference": {
+        "REPRO_THEORY_KERNEL": "reference",
+        "REPRO_THEORY_PROPAGATION": "0",
+    },
     "sparse": {"REPRO_THEORY_KERNEL": "sparse", "REPRO_THEORY_PROPAGATION": "0"},
 }
 
@@ -80,6 +107,19 @@ LADDER = (
 
 #: ladder rows >= this many buses form the large-grid gate workload
 LARGE_GRID_BUSES = 300
+
+#: timed passes per engine (best-of) at least, on grids below
+#: LARGE_GRID_BUSES: one pass there takes 0.1-0.5 s and varies up to
+#: 2.4x from pass to pass on a shared host, more than the floors allow
+SMALL_GRID_REPEATS = 5
+
+#: required sparse speedup over the reference on the >= 300-bus
+#: workload: 2.0 x the largest reference/int ratio measured there
+LARGE_GRID_GATE = 11.18
+
+#: required sparse speedup over the reference per < 300-bus grid:
+#: 0.7 x the largest reference/int ratio measured on that grid
+SMALL_GRID_FLOORS = {"ieee14": 1.25, "ieee57": 1.92, "ieee118": 1.71}
 
 
 @contextmanager
@@ -183,17 +223,20 @@ def run_case_workload(instances, max_conflicts):
     return check_seconds, rows, totals
 
 
-def assert_rows_equal(int_rows, sparse_rows, case):
-    assert len(int_rows) == len(sparse_rows), case
-    for int_row, sparse_row in zip(int_rows, sparse_rows):
-        assert int_row == sparse_row, (
-            f"kernel divergence on {int_row[0]}: {int_row} != {sparse_row}"
+def assert_rows_equal(ref_rows, sparse_rows, case):
+    assert len(ref_rows) == len(sparse_rows), case
+    for ref_row, sparse_row in zip(ref_rows, sparse_rows):
+        assert ref_row == sparse_row, (
+            f"kernel divergence on {ref_row[0]}: {ref_row} != {sparse_row}"
         )
 
 
 def bench_case(case, ntargets, offsets, max_conflicts, repeats):
     """Both engines over one grid; solve-phase times and identity check."""
     out = {"case": case, "buses": load_case(case).num_buses, "engines": {}}
+    if out["buses"] < LARGE_GRID_BUSES:
+        repeats = max(repeats, SMALL_GRID_REPEATS)
+    out["repeats"] = repeats
     instances = case_instances(case, ntargets, offsets)
     rows_by_engine = {}
     for engine, overrides in ENGINES.items():
@@ -207,10 +250,10 @@ def bench_case(case, ntargets, offsets, max_conflicts, repeats):
                 best = seconds if best is None else min(best, seconds)
         rows_by_engine[engine] = rows
         out["engines"][engine] = {"check_seconds": round(best, 4), **totals}
-    assert_rows_equal(rows_by_engine["int"], rows_by_engine["sparse"], case)
+    assert_rows_equal(rows_by_engine["reference"], rows_by_engine["sparse"], case)
     out["instances"] = len(instances)
     out["speedup"] = round(
-        out["engines"]["int"]["check_seconds"]
+        out["engines"]["reference"]["check_seconds"]
         / max(out["engines"]["sparse"]["check_seconds"], 1e-9),
         3,
     )
@@ -248,31 +291,31 @@ def mincost_smoke(case="synthetic1000"):
     }
 
 
-def run_bench(ladder, repeats, gate, small_grid_floor, with_mincost=True):
+def run_bench(ladder, repeats, gate, with_mincost=True):
     report = {
         "benchmark": "scaling",
         "ladder": [row[0] for row in ladder],
         "repeats": repeats,
         "gate": gate,
-        "small_grid_floor": small_grid_floor,
+        "small_grid_floors": SMALL_GRID_FLOORS,
         "cases": [],
     }
-    large_int = large_sparse = 0.0
+    large_ref = large_sparse = 0.0
     for case, ntargets, offsets, max_conflicts in ladder:
         result = bench_case(case, ntargets, offsets, max_conflicts, repeats)
         report["cases"].append(result)
         if result["buses"] >= LARGE_GRID_BUSES:
-            large_int += result["engines"]["int"]["check_seconds"]
+            large_ref += result["engines"]["reference"]["check_seconds"]
             large_sparse += result["engines"]["sparse"]["check_seconds"]
         else:
-            floor = result["speedup"]
-            assert floor >= small_grid_floor, (
-                f"sparse regressed on {case}: {floor:.2f}x < "
-                f"{small_grid_floor:.2f}x of the int kernel"
+            floor = SMALL_GRID_FLOORS[case]
+            assert result["speedup"] >= floor, (
+                f"sparse regressed on {case}: {result['speedup']:.2f}x < "
+                f"{floor:.2f}x over the reference kernel"
             )
-    speedup = large_int / max(large_sparse, 1e-9)
+    speedup = large_ref / max(large_sparse, 1e-9)
     report["large_grid"] = {
-        "int_seconds": round(large_int, 4),
+        "reference_seconds": round(large_ref, 4),
         "sparse_seconds": round(large_sparse, 4),
         "speedup": round(speedup, 3),
     }
@@ -295,6 +338,10 @@ except ImportError:  # script mode without pytest
 if pytest is not None:
     FULL = os.environ.get("REPRO_BENCH_FULL") == "1"
 
+    #: 1.5x (ieee300) and 0.7x (ieee57) of the largest reference/int
+    #: ratio measured on these pytest workloads (see module docstring)
+    PYTEST_FLOORS = {"ieee57": 1.56, "ieee300": 3.15}
+
     def test_scaling_bit_identical_and_faster(benchmark):
         case, ntargets, offsets, mc = (
             ("ieee300", 3, (1, 2, 3), 16) if FULL else ("ieee57", 3, (1, 2), 16)
@@ -302,10 +349,10 @@ if pytest is not None:
         result = run_once(
             benchmark, lambda: bench_case(case, ntargets, offsets, mc, 1)
         )
-        # the hard 2x gate runs on the >=300-bus script workload; here
-        # just pin identity (asserted inside bench_case) plus a loose
-        # floor that catches pathological regressions at any size
-        assert result["speedup"] >= (1.5 if result["buses"] >= 300 else 0.7)
+        # the hard gate runs on the >=300-bus script workload; here
+        # pin identity (asserted inside bench_case) plus a per-workload
+        # floor
+        assert result["speedup"] >= PYTEST_FLOORS[case]
 
     @pytest.mark.skipif(not FULL, reason="REPRO_BENCH_FULL=1 only")
     def test_mincost_completes_at_1000_buses(benchmark):
@@ -326,14 +373,8 @@ def main(argv=None):
     parser.add_argument(
         "--gate",
         type=float,
-        default=2.0,
-        help="required sparse speedup over int on the >=300-bus workload",
-    )
-    parser.add_argument(
-        "--small-grid-floor",
-        type=float,
-        default=0.7,
-        help="minimum sparse/int ratio tolerated on <300-bus grids",
+        default=LARGE_GRID_GATE,
+        help="required sparse speedup over reference on the >=300-bus workload",
     )
     parser.add_argument(
         "--repeats", type=int, default=None, help="timing repeats (best-of)"
@@ -362,26 +403,26 @@ def main(argv=None):
         repeats = 2 if args.repeats is None else args.repeats
 
     report, speedup = run_bench(
-        ladder,
-        repeats,
-        args.gate,
-        args.small_grid_floor,
-        with_mincost=not args.skip_mincost,
+        ladder, repeats, args.gate, with_mincost=not args.skip_mincost
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"scaling ladder ({len(report['cases'])} grids, best of {repeats}):")
+    print(
+        f"scaling ladder ({len(report['cases'])} grids, best of {repeats}; "
+        f"below {LARGE_GRID_BUSES} buses best of "
+        f"{max(repeats, SMALL_GRID_REPEATS)}):"
+    )
     for row in report["cases"]:
         eng = row["engines"]
         print(
             f"  {row['case']:<14} {row['buses']:>5} buses  "
-            f"int {eng['int']['check_seconds']:7.3f}s  "
+            f"reference {eng['reference']['check_seconds']:7.3f}s  "
             f"sparse {eng['sparse']['check_seconds']:7.3f}s  "
             f"({row['speedup']:.2f}x, fill {eng['sparse']['max_fill_ratio']})"
         )
     large = report["large_grid"]
     print(
-        f"  >=300-bus workload: int {large['int_seconds']:.3f}s, "
+        f"  >=300-bus workload: reference {large['reference_seconds']:.3f}s, "
         f"sparse {large['sparse_seconds']:.3f}s ({large['speedup']:.2f}x)"
     )
     if "mincost_1000" in report:
@@ -393,9 +434,9 @@ def main(argv=None):
         )
     print(f"report written to {args.out}")
     assert speedup >= args.gate, (
-        f"sparse speedup {speedup:.2f}x below the {args.gate:.1f}x gate"
+        f"sparse speedup {speedup:.2f}x below the {args.gate:.2f}x gate"
     )
-    print(f"gate passed: {speedup:.2f}x >= {args.gate:.1f}x")
+    print(f"gate passed: {speedup:.2f}x >= {args.gate:.2f}x")
     return 0
 
 

@@ -5,13 +5,13 @@ IEEE 14-bus verification workload (the Figure 4(a) sweep shape — three
 representative target states — extended with the resource-limited
 probes of Figures 4-5, whose UNSAT searches are simplex-dominated):
 
-* the integer-triple kernel (``REPRO_THEORY_KERNEL=int``, the default)
-  produces **bit-identical** outcomes and witnesses to the retained
-  Fraction reference engine, at a fraction of the time;
+* the integer-triple kernel (``REPRO_THEORY_KERNEL=sparse``, the
+  default) produces **bit-identical** outcomes and witnesses to the
+  retained Fraction reference engine, at a fraction of the time;
 * row-implied bound propagation (``REPRO_THEORY_PROPAGATION=1``)
   preserves every outcome and fires (``theory_props > 0``) on the
   paper's case-study specs;
-* the end-to-end speedup of the full new engine (integer kernel with
+* the end-to-end speedup of the full new engine (sparse kernel with
   propagation on) over the pre-overhaul Fraction engine meets the gate
   (default 2x full mode, 1.3x ``--smoke``).
 
@@ -48,8 +48,8 @@ from repro.grid.cases import ieee14  # noqa: E402
 #: by every Solver() the verification layer constructs
 ENGINES = {
     "reference": {"REPRO_THEORY_KERNEL": "reference", "REPRO_THEORY_PROPAGATION": "0"},
-    "int": {"REPRO_THEORY_KERNEL": "int", "REPRO_THEORY_PROPAGATION": "0"},
-    "int+prop": {"REPRO_THEORY_KERNEL": "int", "REPRO_THEORY_PROPAGATION": "1"},
+    "sparse": {"REPRO_THEORY_KERNEL": "sparse", "REPRO_THEORY_PROPAGATION": "0"},
+    "sparse+prop": {"REPRO_THEORY_KERNEL": "sparse", "REPRO_THEORY_PROPAGATION": "1"},
 }
 
 #: per-target measurement budgets are taken at ``cost - offset`` for
@@ -136,7 +136,7 @@ def time_engine(engine, specs, repeats):
 def casestudy_propagation_stats():
     """theory_props on the paper's case-study specs (propagation on)."""
     out = {}
-    with engine_env(ENGINES["int+prop"]):
+    with engine_env(ENGINES["sparse+prop"]):
         for name, spec_fn in (
             ("objective1", attack_objective_1),
             ("objective2", attack_objective_2),
@@ -174,12 +174,12 @@ def run_bench(targets, offsets, repeats, gate):
     }
     ref_s, ref_rows, ref_totals = time_engine("reference", specs, repeats)
     report["engines"]["reference"] = {"seconds": round(ref_s, 4), **ref_totals}
-    for engine in ("int", "int+prop"):
+    for engine in ("sparse", "sparse+prop"):
         seconds, rows, totals = time_engine(engine, specs, repeats)
-        # the plain integer kernel must be bit-identical to the
+        # the plain sparse kernel must be bit-identical to the
         # reference (same outcomes AND witnesses); propagation keeps
         # outcomes but may legitimately find different witnesses
-        assert_rows_equal(ref_rows, rows, engine, witnesses=(engine == "int"))
+        assert_rows_equal(ref_rows, rows, engine, witnesses=(engine == "sparse"))
         report["engines"][engine] = {
             "seconds": round(seconds, 4),
             "speedup": round(ref_s / seconds, 2),
@@ -188,10 +188,10 @@ def run_bench(targets, offsets, repeats, gate):
     report["casestudy"] = casestudy_propagation_stats()
     for name, stats in report["casestudy"].items():
         assert stats["theory_props"] > 0, f"no theory propagations on {name}"
-    # the gate applies to the full overhauled engine (integer kernel +
+    # the gate applies to the full overhauled engine (sparse kernel +
     # theory propagation); the bit-identical contract was asserted on
-    # the plain integer kernel above
-    speedup = report["engines"]["int+prop"]["speedup"]
+    # the plain sparse kernel above
+    speedup = report["engines"]["sparse+prop"]["speedup"]
     report["passed"] = bool(speedup >= gate)
     return report, speedup
 
@@ -212,12 +212,12 @@ if pytest is not None:
         targets = default_targets(ieee14(), 3)[-1:]
         specs = workload_specs(target_budgets(targets, offsets=(1,)))
         ref_s, ref_rows, _ = time_engine("reference", specs, repeats=1)
-        with engine_env(ENGINES["int"]):
+        with engine_env(ENGINES["sparse"]):
             start = time.perf_counter()
             rows, _ = run_once(benchmark, lambda: run_workload(specs))
-            int_s = time.perf_counter() - start
-        assert_rows_equal(ref_rows, rows, "int", witnesses=True)
-        assert ref_s / int_s >= 1.2
+            sparse_s = time.perf_counter() - start
+        assert_rows_equal(ref_rows, rows, "sparse", witnesses=True)
+        assert ref_s / sparse_s >= 1.2
 
     def test_propagation_fires_on_casestudy(benchmark):
         stats = run_once(benchmark, casestudy_propagation_stats)
@@ -238,7 +238,7 @@ def main(argv=None):
         "--gate",
         type=float,
         default=None,
-        help="minimum required int-kernel speedup (default: 2.0, smoke 1.3)",
+        help="minimum required sparse+prop speedup (default: 2.0, smoke 1.3)",
     )
     parser.add_argument(
         "--repeats", type=int, default=None, help="timing repeats (best-of)"
@@ -274,7 +274,7 @@ def main(argv=None):
     )
     for engine, row in engines.items():
         extra = f" ({row['speedup']:.2f}x)" if "speedup" in row else ""
-        print(f"  {engine:<10} {row['seconds']:.3f}s{extra}")
+        print(f"  {engine:<12} {row['seconds']:.3f}s{extra}")
     for name, stats in report["casestudy"].items():
         print(f"  casestudy {name}: theory_props={stats['theory_props']}")
     print(f"report written to {args.out}")

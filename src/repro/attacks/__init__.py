@@ -12,7 +12,6 @@ topology-poisoning attacks from an operating point.
 from repro.attacks.vector import AttackVector
 from repro.attacks.liu import perfect_knowledge_attack, restricted_access_attack
 from repro.attacks.topology_attack import coordinated_topology_attack
-from repro.attacks.ac_attack import AcAttack, ac_perfect_attack
 from repro.attacks.overload import (
     fake_congestion_attack,
     flow_shift_attack,
@@ -20,9 +19,7 @@ from repro.attacks.overload import (
 )
 
 __all__ = [
-    "AcAttack",
     "AttackVector",
-    "ac_perfect_attack",
     "coordinated_topology_attack",
     "fake_congestion_attack",
     "flow_shift_attack",

@@ -14,14 +14,13 @@ literal               asserted bound
 ``(e >= b)`` false    upper bound ``b - delta``  (strict ``<``)
 ====================  =======================================
 
-Three kernels back the listener (see :mod:`repro.smt.simplex`): the
-sparse-control-flow :class:`~repro.smt.simplex.SparseSimplex`
-(default), the integer-triple :class:`~repro.smt.simplex.Simplex`, and
+Two engines back the listener (see :mod:`repro.smt.simplex`): the
+integer-triple :class:`~repro.smt.simplex.SparseSimplex` (default) and
 the retained :class:`~repro.smt.simplex.ReferenceSimplex` Fraction
-oracle.  All three are bit-identical; :data:`KERNELS` names the valid
+oracle.  Both are bit-identical; :data:`KERNELS` names the valid
 selections.
 
-On the integer-triple kernels the listener additionally implements *unate
+On the integer-triple engine the listener additionally implements *unate
 propagation* (Dutertre & de Moura section 6): after a feasible
 ``check()``, rows touched by recently tightened bounds are scanned and
 the bound each row implies on its basic variable is compared against the
@@ -38,21 +37,15 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.smt.cnf import CanonicalAtom
-from repro.smt.simplex import (
-    DeltaRational,
-    ReferenceSimplex,
-    Simplex,
-    SparseSimplex,
-)
+from repro.smt.simplex import DeltaRational, ReferenceSimplex, SparseSimplex
 
 ONE = Fraction(1)
 
 #: valid theory kernels, fastest first; ``sparse`` is the default
-KERNELS = ("sparse", "int", "reference")
+KERNELS = ("sparse", "reference")
 
 _ENGINES = {
     "sparse": SparseSimplex,
-    "int": Simplex,
     "reference": ReferenceSimplex,
 }
 
@@ -62,7 +55,7 @@ DEFAULT_PROPAGATION_BUDGET = 256
 
 
 class LraTheory:
-    """DPLL(T) listener backed by :class:`~repro.smt.simplex.Simplex`."""
+    """DPLL(T) listener backed by :class:`~repro.smt.simplex.SparseSimplex`."""
 
     def __init__(
         self,
@@ -77,7 +70,7 @@ class LraTheory:
             )
         self.kernel = kernel
         self._use_triples = kernel != "reference"
-        # row-implied bound propagation needs the integer kernels'
+        # row-implied bound propagation needs the integer kernel's
         # triple bounds; the reference engine is the frozen pre-overhaul
         # oracle and always runs without it
         self.propagation = bool(propagate) and self._use_triples

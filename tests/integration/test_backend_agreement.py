@@ -1,8 +1,7 @@
-"""Integration: the three decision procedures agree on randomized specs.
+"""Integration: the two decision procedures agree on randomized specs.
 
-The bundled SMT engine (exact DPLL(T)), the HiGHS MILP mirror with exact
-refinement, and — on the boolean side of small instances — the
-from-scratch branch-and-bound must return the same SAT/UNSAT verdicts.
+The bundled SMT engine (exact DPLL(T)) and the HiGHS MILP mirror with
+exact refinement must return the same SAT/UNSAT verdicts.
 Agreement across independently implemented deciders is the strongest
 correctness evidence the reproduction has.
 """

@@ -185,24 +185,3 @@ class TestReplayDeterminism:
                 int(v) for v in live.assign
             ]
         assert total_imported > 0  # the sweep must exercise real imports
-
-    def test_replay_holds_under_vec_kernel(self):
-        for seed in range(6):
-            clauses = random_clauses(seed)
-            donor = build_solver(clauses, config=SolverConfig(seed=3))
-            collector = CollectingExchange()
-            donor.set_exchange(collector, interval=8)
-            donor.solve()
-
-            live = build_solver(clauses)
-            live.set_exchange(FeedExchange(collector.published), interval=16)
-            live_result = live.solve()
-
-            replay = SatSolver(kernel="vec")
-            replay.ensure_vars(40)
-            for clause in clauses:
-                if not replay.add_clause(clause):
-                    break
-            replay.set_exchange(ScriptedExchange(live.import_log), interval=16)
-            assert replay.solve() == live_result
-            assert replay.stats == live.stats

@@ -1,15 +1,15 @@
-"""Property tests pinning the fast kernels to the Fraction reference.
+"""Property tests pinning the fast kernel to the Fraction reference.
 
-Both integer-triple simplex engines — the sparse-control-flow
-:class:`~repro.smt.simplex.SparseSimplex` (the default) and the dense
-:class:`~repro.smt.simplex.Simplex` — must be **bit-identical** to the
-retained :class:`~repro.smt.simplex.ReferenceSimplex`: same verdicts,
-same models, same search trace.  These tests exercise the three-way
-contract two ways — random mixed formulas through the full
-:class:`~repro.smt.Solver` under every kernel, and random bound/pivot
-scripts replayed directly on the simplex engines with invariant
-checking enabled (which on the sparse engine also cross-checks the
-incrementally maintained violated-basic set against a full recompute).
+The integer-triple simplex engine
+:class:`~repro.smt.simplex.SparseSimplex` (the default) must be
+**bit-identical** to the retained
+:class:`~repro.smt.simplex.ReferenceSimplex`: same verdicts, same
+models, same search trace.  These tests exercise the contract two ways
+— random mixed formulas through the full :class:`~repro.smt.Solver`
+under both kernels, and random bound/pivot scripts replayed directly on
+the simplex engines with invariant checking enabled (which on the
+sparse engine also cross-checks the incrementally maintained
+violated-basic set against a full recompute).
 """
 
 import random
@@ -19,17 +19,9 @@ from functools import reduce
 import pytest
 
 from repro.smt import Not, Or, Result, Solver, ge, le
-from repro.smt.simplex import (
-    DeltaRational,
-    ReferenceSimplex,
-    Simplex,
-    SparseSimplex,
-)
+from repro.smt.simplex import DeltaRational, ReferenceSimplex, SparseSimplex
 
 F = Fraction
-
-#: the kernels pinned to the reference oracle
-FAST_KERNELS = ("int", "sparse")
 
 
 # ----------------------------------------------------------------------
@@ -79,22 +71,27 @@ def build_formula(solver, seed, nreal=3, nbool=2, natoms=6, nclauses=8):
     return xs, bs, atoms, skeleton
 
 
-def solve_with(kernel, seed, propagation=False, sat_kernel=None):
-    solver = Solver(
-        kernel=kernel, theory_propagation=propagation, sat_kernel=sat_kernel
-    )
-    xs, bs, atoms, skeleton = build_formula(solver, seed)
+#: formula sizes for build_formula; "large" drives longer pivot chains
+SHAPES = {
+    "small": {},
+    "large": dict(nreal=4, nbool=3, natoms=10, nclauses=14),
+}
+
+
+def solve_with(kernel, seed, propagation=False, shape="small"):
+    solver = Solver(kernel=kernel, theory_propagation=propagation)
+    xs, bs, atoms, skeleton = build_formula(solver, seed, **SHAPES[shape])
     result = solver.check()
     model = solver.model() if result is Result.SAT else None
     return solver, xs, bs, atoms, skeleton, result, model
 
 
 class TestSolverEquivalence:
-    @pytest.mark.parametrize("kernel", FAST_KERNELS)
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", range(40))
-    def test_bit_identical_verdict_model_and_trace(self, seed, kernel):
-        ref = solve_with("reference", seed)
-        fast = solve_with(kernel, seed)
+    def test_bit_identical_verdict_model_and_trace(self, seed, shape):
+        ref = solve_with("reference", seed, shape=shape)
+        fast = solve_with("sparse", seed, shape=shape)
         _, xs, bs, _, _, ref_result, ref_model = ref
         _, _, _, _, _, fast_result, fast_model = fast
         assert fast_result is ref_result
@@ -109,21 +106,26 @@ class TestSolverEquivalence:
         for key in ("conflicts", "decisions", "propagations", "pivots"):
             assert fast_stats[key] == ref_stats[key], key
 
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", range(10))
-    def test_sparse_matches_int_stats_exactly(self, seed):
-        # sparse vs int directly (not just both-vs-reference): the whole
-        # stats dicts must agree except the sparse-only refactorization
-        # counter
-        int_stats = solve_with("int", seed)[0].statistics()
-        sparse_stats = solve_with("sparse", seed)[0].statistics()
-        for stats in (int_stats, sparse_stats):
+    def test_sparse_matches_reference_stats_exactly(self, seed, shape):
+        # the whole stats dicts must agree except the kernel name and
+        # the sparse-only refactorization counter
+        ref_stats = solve_with("reference", seed, shape=shape)[0].statistics()
+        sparse_stats = solve_with("sparse", seed, shape=shape)[0].statistics()
+        for stats in (ref_stats, sparse_stats):
             stats.pop("refactorizations", None)
             stats.pop("kernel", None)
-        assert sparse_stats == int_stats
+        assert sparse_stats == ref_stats
 
+    @pytest.mark.parametrize("propagation", (False, True))
     @pytest.mark.parametrize("seed", range(40))
-    def test_models_satisfy_asserted_clauses(self, seed):
-        solver, xs, bs, atoms, skeleton, result, model = solve_with("sparse", seed)
+    def test_models_satisfy_asserted_clauses(self, seed, propagation):
+        # propagation may pick a different witness than the plain
+        # search, so its models are checked against the formula too
+        solver, xs, bs, atoms, skeleton, result, model = solve_with(
+            "sparse", seed, propagation=propagation
+        )
         if result is not Result.SAT:
             return
         values = [model.real_value(x) for x in xs]
@@ -141,54 +143,12 @@ class TestSolverEquivalence:
             )
             assert satisfied, f"model falsifies an asserted clause: {shape}"
 
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", range(20))
-    def test_propagation_preserves_verdicts(self, seed):
-        ref_result = solve_with("reference", seed)[5]
-        prop_result = solve_with("int", seed, propagation=True)[5]
+    def test_propagation_preserves_verdicts(self, seed, shape):
+        ref_result = solve_with("reference", seed, shape=shape)[5]
+        prop_result = solve_with("sparse", seed, propagation=True, shape=shape)[5]
         assert prop_result is ref_result
-
-
-class TestSatKernelEquivalence:
-    """The vectorized BCP kernel through the full DPLL(T) stack.
-
-    Same contract as the theory kernels: REPRO_SAT_KERNEL=vec must be
-    bit-identical to the Python propagation loop — verdicts, models and
-    the complete search trace.
-    """
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_vec_bcp_bit_identical_through_dpllt(self, seed):
-        ref = solve_with("sparse", seed, sat_kernel="python")
-        vec = solve_with("sparse", seed, sat_kernel="vec")
-        _, xs, bs, _, _, ref_result, ref_model = ref
-        _, _, _, _, _, vec_result, vec_model = vec
-        assert vec_result is ref_result
-        if ref_result is Result.SAT:
-            for x in xs:
-                assert vec_model.real_value(x) == ref_model.real_value(x)
-            for b in bs:
-                assert vec_model.value(b) == ref_model.value(b)
-        ref_stats = ref[0].statistics()
-        vec_stats = vec[0].statistics()
-        for stats in (ref_stats, vec_stats):
-            stats.pop("sat_kernel", None)
-        assert vec_stats == ref_stats
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_vec_bcp_with_theory_propagation(self, seed):
-        ref = solve_with("sparse", seed, propagation=True, sat_kernel="python")
-        vec = solve_with("sparse", seed, propagation=True, sat_kernel="vec")
-        assert vec[5] is ref[5]
-        ref_stats = ref[0].statistics()
-        vec_stats = vec[0].statistics()
-        for key in ("conflicts", "decisions", "propagations", "pivots"):
-            assert vec_stats[key] == ref_stats[key], key
-
-    def test_env_selection_reaches_the_sat_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "vec")
-        assert Solver().statistics()["sat_kernel"] == "vec"
-        monkeypatch.setenv("REPRO_SAT_KERNEL", "python")
-        assert Solver().statistics()["sat_kernel"] == "python"
 
 
 class TestUnsatCores:
@@ -202,7 +162,7 @@ class TestUnsatCores:
             op = rng.choice(("<=", ">="))
             bounds.append((var, op, rng.randint(-3, 3)))
         cores = {}
-        for kernel in ("reference", "int", "sparse"):
+        for kernel in ("reference", "sparse"):
             solver = Solver(kernel=kernel)
             xs = [solver.real_var(f"x{i}") for i in range(2)]
             terms = [
@@ -215,14 +175,13 @@ class TestUnsatCores:
                 if result is not Result.UNSAT
                 else [terms.index(t) for t in solver.unsat_core()]
             )
-        assert cores["int"] == cores["reference"]
         assert cores["sparse"] == cores["reference"]
-        if cores["int"] is None:
+        if cores["sparse"] is None:
             return
         # the named subset must itself be UNSAT
         solver = Solver()
         xs = [solver.real_var(f"x{i}") for i in range(2)]
-        for idx in cores["int"]:
+        for idx in cores["sparse"]:
             var, op, b = bounds[idx]
             solver.add(le(xs[var], b) if op == "<=" else ge(xs[var], b))
         assert solver.check() is Result.UNSAT
@@ -301,9 +260,7 @@ class TestScriptReplay:
         nv = rng.randint(2, 4)
         rows, ops = random_script(rng, nv=nv)
         ref_trace = replay(ReferenceSimplex, rows, ops, nv)
-        int_trace = replay(Simplex, rows, ops, nv)
         sparse_trace = replay(SparseSimplex, rows, ops, nv)
-        assert int_trace == ref_trace
         assert sparse_trace == ref_trace
 
     @pytest.mark.parametrize("seed", range(30, 50))
@@ -317,36 +274,37 @@ class TestScriptReplay:
         nv = rng.randint(4, 6)
         rows, ops = random_script(rng, nv=nv, nrows=5, nops=60)
         sparse_trace = replay(SparseSimplex, rows, ops, nv)
-        int_trace = replay(Simplex, rows, ops, nv)
-        assert sparse_trace == int_trace
+        ref_trace = replay(ReferenceSimplex, rows, ops, nv)
+        assert sparse_trace == ref_trace
 
 
 # ----------------------------------------------------------------------
 # kernel selection validation
 # ----------------------------------------------------------------------
 class TestKernelValidation:
-    def test_unknown_kernel_argument_rejected(self):
-        with pytest.raises(ValueError, match="unknown theory kernel 'bogus'"):
-            Solver(kernel="bogus")
+    @pytest.mark.parametrize("name", ("bogus", "int"))
+    def test_unknown_kernel_argument_rejected(self, name):
+        with pytest.raises(ValueError, match=f"unknown theory kernel '{name}'"):
+            Solver(kernel=name)
 
-    def test_unknown_kernel_env_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("name", ("sprase", "int"))
+    def test_unknown_kernel_env_rejected(self, name, monkeypatch):
         # a typo'd REPRO_THEORY_KERNEL must fail loudly at Solver
         # construction, naming the env var and the valid kernels, not
         # silently fall back or crash deep in the theory layer
-        monkeypatch.setenv("REPRO_THEORY_KERNEL", "sprase")
+        monkeypatch.setenv("REPRO_THEORY_KERNEL", name)
         with pytest.raises(ValueError) as exc:
             Solver()
         message = str(exc.value)
-        assert "sprase" in message
+        assert f"'{name}'" in message
         assert "REPRO_THEORY_KERNEL" in message
-        for kernel in ("sparse", "int", "reference"):
-            assert kernel in message
+        assert "valid kernels: sparse, reference" in message
 
     def test_empty_env_means_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_THEORY_KERNEL", "")
         assert Solver().statistics()["kernel"] == "sparse"
 
-    @pytest.mark.parametrize("kernel", ("sparse", "int", "reference"))
+    @pytest.mark.parametrize("kernel", ("sparse", "reference"))
     def test_valid_kernels_accepted(self, kernel, monkeypatch):
         monkeypatch.setenv("REPRO_THEORY_KERNEL", kernel)
         assert Solver().statistics()["kernel"] == kernel

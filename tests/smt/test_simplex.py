@@ -1,4 +1,8 @@
-"""Unit and property tests for the incremental simplex engine."""
+"""Unit and property tests for the incremental simplex engines.
+
+Every test runs on the integer-triple :class:`SparseSimplex` (the
+default kernel) and on the Fraction :class:`ReferenceSimplex` oracle.
+"""
 
 import random
 from fractions import Fraction
@@ -7,13 +11,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from repro.smt.simplex import DeltaRational, Simplex
+from repro.smt.simplex import DeltaRational, ReferenceSimplex, SparseSimplex
 
 F = Fraction
 
 
 def dr(r, k=0):
     return DeltaRational(F(r), F(k))
+
+
+@pytest.fixture(params=(SparseSimplex, ReferenceSimplex), ids=("sparse", "reference"))
+def engine(request):
+    return request.param
 
 
 class TestDeltaRational:
@@ -34,25 +43,25 @@ class TestDeltaRational:
 
 
 class TestSimplexBasics:
-    def test_single_variable_bounds(self):
-        s = Simplex()
+    def test_single_variable_bounds(self, engine):
+        s = engine()
         x = s.new_var()
         assert s.assert_lower(x, dr(1), 10) is None
         assert s.assert_upper(x, dr(5), 11) is None
         assert s.check() is None
         assert dr(1) <= s.assign[x] <= dr(5)
 
-    def test_direct_bound_conflict(self):
-        s = Simplex()
+    def test_direct_bound_conflict(self, engine):
+        s = engine()
         x = s.new_var()
         assert s.assert_lower(x, dr(3), 10) is None
         conflict = s.assert_upper(x, dr(2), 11)
         assert conflict is not None
         assert set(conflict) == {10, 11}
 
-    def test_row_conflict_with_explanation(self):
+    def test_row_conflict_with_explanation(self, engine):
         # x + y = s; x >= 2, y >= 2, s <= 3  -> conflict
-        s = Simplex()
+        s = engine()
         x, y = s.new_var(), s.new_var()
         slack = s.new_var()
         s.add_row(slack, {x: F(1), y: F(1)})
@@ -63,8 +72,8 @@ class TestSimplexBasics:
         assert conflict is not None
         assert set(conflict) == {1, 2, 3}
 
-    def test_equalities_via_double_bounds(self):
-        s = Simplex()
+    def test_equalities_via_double_bounds(self, engine):
+        s = engine()
         x, y = s.new_var(), s.new_var()
         slack = s.new_var()
         s.add_row(slack, {x: F(1), y: F(2)})
@@ -75,9 +84,9 @@ class TestSimplexBasics:
         # y must be 3
         assert s.assign[y] == dr(3)
 
-    def test_strict_bounds_through_delta(self):
+    def test_strict_bounds_through_delta(self, engine):
         # x > 1 and x < 1 + something tiny is still satisfiable exactly
-        s = Simplex()
+        s = engine()
         x = s.new_var()
         assert s.assert_lower(x, dr(1, 1), 1) is None  # x > 1
         assert s.assert_upper(x, dr(2, -1), 2) is None  # x < 2
@@ -85,16 +94,16 @@ class TestSimplexBasics:
         val = s.assign[x]
         assert dr(1, 1) <= val <= dr(2, -1)
 
-    def test_strict_conflict(self):
+    def test_strict_conflict(self, engine):
         # x > 1 and x < 1
-        s = Simplex()
+        s = engine()
         x = s.new_var()
         assert s.assert_lower(x, dr(1, 1), 1) is None
         conflict = s.assert_upper(x, dr(1, -1), 2)
         assert conflict is not None
 
-    def test_backtracking_restores_bounds(self):
-        s = Simplex()
+    def test_backtracking_restores_bounds(self, engine):
+        s = engine()
         x = s.new_var()
         assert s.assert_lower(x, dr(0), 1) is None
         mark = s.mark()
@@ -107,8 +116,8 @@ class TestSimplexBasics:
         assert s.assert_upper(x, dr(5), 4) is None
         assert s.check() is None
 
-    def test_concrete_values_respect_strict_bounds(self):
-        s = Simplex()
+    def test_concrete_values_respect_strict_bounds(self, engine):
+        s = engine()
         x = s.new_var()
         s.assert_lower(x, dr(1, 1), 1)  # x > 1
         s.assert_upper(x, dr(1, 2), 2)  # x < 1 + 2 delta (tight window)
@@ -116,9 +125,9 @@ class TestSimplexBasics:
         values = s.concrete_values()
         assert values[x] > F(1)
 
-    def test_chain_of_rows(self):
+    def test_chain_of_rows(self, engine):
         # a = x + y, b = a + z; bounds force a unique solution
-        s = Simplex()
+        s = engine()
         x, y, z = (s.new_var() for _ in range(3))
         a, b = s.new_var(), s.new_var()
         s.add_row(a, {x: F(1), y: F(1)})
@@ -133,11 +142,11 @@ class TestSimplexBasics:
 
 class TestAgainstLinprog:
     @pytest.mark.parametrize("seed", range(25))
-    def test_random_systems(self, seed):
+    def test_random_systems(self, seed, engine):
         rng = random.Random(seed)
         nv = rng.randint(2, 5)
         nc = rng.randint(2, 10)
-        s = Simplex()
+        s = engine()
         s.debug_invariants = True  # tableau checked at every check() exit
         problem_vars = [s.new_var() for _ in range(nv)]
         rows = []

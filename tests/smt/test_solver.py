@@ -165,6 +165,20 @@ class TestMixed:
         assert s.check() is Result.SAT
         assert sum(s.model().value(b) for b in bs) == 2
 
+    def test_propagation_reaches_atom_of_dropped_clause(self):
+        # b is true at level 0, so add_clause drops (b or x+y <= 1)
+        # before it reaches the atom; the row x + y still entails
+        # not(x + y <= 1), which propagation must be able to enqueue
+        s = Solver(theory_propagation=True)
+        x, y = s.real_var("x"), s.real_var("y")
+        b = s.bool_var("b")
+        s.add(ge(x, 1), ge(y, 1))
+        s.add(b)
+        s.add(Or(b, le(x + y, 1)))
+        assert s.check() is Result.SAT
+        assert s.statistics()["theory_props"] == 1
+        assert s.model().eval_expr(x + y) >= 2
+
 
 class TestIncremental:
     def test_push_pop_restores_sat(self):
