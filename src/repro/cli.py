@@ -740,8 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         metavar="SECONDS",
-        help="micro-batching window: how long to hold the first pending "
-        "request while coalescing more (default 0.05)",
+        help="micro-batching bound: the longest a batch may stay open while "
+        "new requests keep arriving; an idle queue dispatches at once "
+        "(default 0.05)",
     )
     p.add_argument(
         "--max-batch",

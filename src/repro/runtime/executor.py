@@ -497,6 +497,7 @@ def verify_many(
     fingerprints: List[Optional[str]] = [None] * n
     pending: Dict[str, List[int]] = {}  # fingerprint -> indices to fill
     order: List[int] = []  # first index per unique pending fingerprint
+    hits: Dict[str, VerificationResult] = {}  # one cache lookup per fingerprint
     for i, spec in enumerate(specs):
         # session solves may return a different (equally valid) attack
         # witness than a cold solve, so they get their own cache keyspace
@@ -507,10 +508,14 @@ def verify_many(
             extra=("sessions",) if options.sessions else (),
         )
         fingerprints[i] = key
-        if options.cache is not None:
+        if key in hits:
+            hit = hits[key]
+            results[i] = replace(hit, statistics=dict(hit.statistics))
+            continue
+        if options.cache is not None and key not in pending:
             hit = options.cache.get(key)
             if hit is not None:
-                results[i] = hit
+                results[i] = hits[key] = hit
                 if tracer.enabled:
                     tracer.span(
                         "runtime.cache", parent=_parent(i), cache="hit"

@@ -3,10 +3,18 @@
 Individually-submitted verification requests are tiny; the runtime's
 batch executor is happiest with many instances at once (one pool
 spin-up, in-batch dedup, one cache sweep).  The scheduler bridges the
-two shapes: it waits for the first pending job, keeps collecting for a
-``window`` (or until ``max_batch``), and executes the whole batch as a
-single :func:`repro.runtime.verify_many` call in a worker thread, so
-the event loop keeps serving HTTP while solvers run.
+two shapes: it waits for the first pending job, takes every job already
+queued behind it, and executes the whole batch as a single
+:func:`repro.runtime.verify_many` call in a worker thread, so the event
+loop keeps serving HTTP while solvers run.
+
+Batches close on the Nagle / Kafka-``linger`` rule: the scheduler
+lingers only while arrivals keep coming.  After draining the queue it
+yields one event-loop turn; if that turn brought a new submission it
+drains again and yields again, otherwise it dispatches.  ``window``
+bounds how long such a run of arrivals may hold the batch open (and
+``max_batch`` how large it may grow), so a request on an idle queue
+dispatches at once instead of waiting out a timer.
 
 Identical concurrent requests cost one solver invocation: in-batch
 duplicates collapse via the canonical spec fingerprint inside
@@ -226,7 +234,8 @@ class BatchingScheduler:
     """Pull jobs from a :class:`JobQueue`, execute them in micro-batches.
 
     One batch at a time: the collect phase blocks until a first job
-    arrives, then keeps the window open; the execute phase runs solver
+    arrives, then lingers only while arrivals keep coming (at most
+    ``window`` seconds); the execute phase runs solver
     work in the event loop's default thread pool executor so HTTP
     handling never blocks.  Failed attempts (a raising backend, a dead
     worker pool) are retried up to each job's ``max_retries`` before
@@ -260,18 +269,25 @@ class BatchingScheduler:
                 await self._execute(batch)
 
     async def _collect(self) -> List[Job]:
-        first = await self.queue.take()
-        batch = [first]
+        batch = [await self.queue.take()]
         closes_at = time.monotonic() + self.window
-        while len(batch) < self.max_batch:
-            remaining = closes_at - time.monotonic()
-            if remaining <= 0:
-                break
-            job = await self.queue.take(timeout=remaining)
-            if job is None:
-                break
-            batch.append(job)
-        return batch
+        arrived = True  # the first job is itself an arrival
+        while True:
+            while len(batch) < self.max_batch:
+                job = self.queue.take_nowait()
+                if job is None:
+                    break
+                batch.append(job)
+                arrived = True
+            if (
+                not arrived
+                or len(batch) >= self.max_batch
+                or time.monotonic() >= closes_at
+            ):
+                return batch
+            arrived = False
+            # one event-loop turn lets submissions already in flight land
+            await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     async def _execute(self, batch: List[Job]) -> None:

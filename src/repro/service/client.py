@@ -13,6 +13,14 @@ as canonical payload dicts, or as the paper's text format via
     job = client.verify(spec, timeout=60)
     assert job["result"]["outcome"] in ("sat", "unsat")
 
+**Submit + long-poll.**  ``verify``/``synthesize`` submit with
+``"wait": true``, so the server holds the answer until the job is
+terminal; ``wait`` asks ``GET /v1/jobs/<id>?wait=<seconds>`` in a loop
+with no sleep in between.  Each hold is at most the smallest of the
+caller's remaining ``timeout``, half the socket ``timeout`` (so the
+answer always beats the socket) and the server's own cap.  A request
+whose job finishes inside one hold costs exactly one HTTP exchange.
+
 **Transient-failure handling.**  A replica restarting (supervisor
 failover, rolling deploy) answers with connection-refused or resets
 the socket mid-exchange.  Every request retries those transient
@@ -36,7 +44,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.spec import AttackSpec
 from repro.obs.trace import context_payload
@@ -232,18 +240,39 @@ class ServiceClient:
             body.setdefault("client", self.client_id)
         return self._request("POST", "/v1/synthesize", body)
 
-    def wait(
-        self, job_id: str, timeout: float = 60.0, poll: float = 0.05
-    ) -> Dict[str, Any]:
-        """Poll until the job is terminal; raise ``TimeoutError`` otherwise."""
+    def _hold(self, remaining: float) -> float:
+        """Seconds to ask the server to hold: the rest of the caller's
+        budget, and at most half the socket timeout."""
+        return max(0.0, min(remaining, self.timeout / 2))
+
+    def wait(self, job_id: str, timeout: float = 60.0) -> Dict[str, Any]:
+        """Long-poll until the job is terminal; raise ``TimeoutError`` otherwise."""
         deadline = time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            hold = self._hold(deadline - time.monotonic())
+            job = self._request("GET", f"/v1/jobs/{job_id}?wait={hold:.3f}")
             if job["state"] in TERMINAL_STATES:
                 return job
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise TimeoutError(f"job {job_id} still {job['state']} after {timeout}s")
-            time.sleep(poll)
+
+    def _submit_and_wait(
+        self,
+        submit: Callable[..., Dict[str, Any]],
+        timeout: float,
+        fields: Dict[str, Any],
+    ) -> Dict[str, Any]:
+        """``submit(**fields)`` held by the server, then long-poll the rest."""
+        deadline = time.monotonic() + timeout
+        hold = self._hold(timeout)
+        if hold > 0:
+            fields = {"wait": True, "wait_timeout": hold, **fields}
+        job = submit(**fields)
+        if job["state"] not in TERMINAL_STATES:
+            job = self.wait(job["id"], timeout=max(0.0, deadline - time.monotonic()))
+        if job["state"] == "failed":
+            raise ServiceError(500, {"error": job.get("error", "job failed")})
+        return job
 
     # ------------------------------------------------------------------
     def verify(
@@ -253,12 +282,12 @@ class ServiceClient:
         timeout: float = 60.0,
         **fields: Any,
     ) -> Dict[str, Any]:
-        """Submit + wait; returns the terminal job (raises if ``failed``)."""
-        job = self.submit_verify(spec=spec, spec_text=spec_text, **fields)
-        job = self.wait(job["id"], timeout=timeout)
-        if job["state"] == "failed":
-            raise ServiceError(500, {"error": job.get("error", "job failed")})
-        return job
+        """Submit + long-poll; returns the terminal job (raises if ``failed``)."""
+        return self._submit_and_wait(
+            self.submit_verify,
+            timeout,
+            {"spec": spec, "spec_text": spec_text, **fields},
+        )
 
     def synthesize(
         self,
@@ -268,13 +297,11 @@ class ServiceClient:
         timeout: float = 120.0,
         **fields: Any,
     ) -> Dict[str, Any]:
-        job = self.submit_synthesize(
-            spec=spec, spec_text=spec_text, budget=budget, **fields
+        return self._submit_and_wait(
+            self.submit_synthesize,
+            timeout,
+            {"spec": spec, "spec_text": spec_text, "budget": budget, **fields},
         )
-        job = self.wait(job["id"], timeout=timeout)
-        if job["state"] == "failed":
-            raise ServiceError(500, {"error": job.get("error", "job failed")})
-        return job
 
     # ------------------------------------------------------------------
     def post_incident(self, payload: Dict[str, Any]) -> Dict[str, Any]:

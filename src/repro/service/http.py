@@ -4,7 +4,9 @@ Endpoints::
 
     POST /v1/verify       submit a verification job
     POST /v1/synthesize   submit a countermeasure-synthesis job
-    GET  /v1/jobs/<id>    job state (+ result once terminal)
+    GET  /v1/jobs/<id>    job state (+ result once terminal);
+                          ``?wait=<seconds>`` long-polls: the answer is
+                          held until the job is terminal, bounded
     POST /v1/incidents    ingest a monitor incident
     GET  /v1/incidents    query stored incidents (``?kind=``,
                           ``?severity=``, ``?min_severity=``,
@@ -39,6 +41,15 @@ Verify bodies carry either ``"spec"`` (the canonical payload of
 is terminal (bounded by ``wait_timeout``).  Synthesize bodies add a
 ``"settings"`` object (``budget`` required).
 
+**Holds.**  A held request — a submission with ``"wait": true`` or a
+``GET /v1/jobs/<id>?wait=<seconds>`` — answers ``200`` with the
+terminal job as soon as it finishes, or ``202`` with the live job when
+the hold runs out; the client then simply asks again.  Every hold is
+clamped to :data:`MAX_HOLD_SECONDS` (30 s), well below the router's
+forward timeout, so a slow solve never reads as a dead replica.  A
+queued job's hold also ends at its deadline, so expiry is reported on
+time.  A ``wait`` that is not a nonnegative number is a 400.
+
 On SIGTERM/SIGINT the server **drains**: new submissions get 503,
 ``GET`` stays available for polling, in-flight and queued jobs run to
 completion, then the process exits.
@@ -70,7 +81,7 @@ from repro.obs.trace import configure_tracing, get_tracer
 from repro.runtime import ResultCache, RuntimeOptions, parse_portfolio_mode
 from repro.runtime.serialize import payload_to_spec, spec_to_payload
 from repro.service.batching import BatchingScheduler, BatchStats
-from repro.service.jobs import JobQueue, JobState, QueueFull
+from repro.service.jobs import Job, JobQueue, JobState, QueueFull
 from repro.smt.solver import engine_signature
 
 _LOG = get_logger("repro.service")
@@ -125,6 +136,10 @@ _REASONS = {
 
 _BACKENDS = ("smt", "milp")
 
+#: longest any request is held server-side (``"wait": true`` submissions
+#: and ``GET /v1/jobs/<id>?wait=``); below the router's forward timeout
+MAX_HOLD_SECONDS = 30.0
+
 
 class RequestError(ValueError):
     """A client error; carries the HTTP status and a stable error code."""
@@ -152,6 +167,22 @@ def _query_int(query: Dict[str, str], name: str) -> Optional[int]:
         return int(value)
     except ValueError:
         raise RequestError(f"'{name}' must be an integer")
+
+
+def _query_wait(query: Dict[str, str]) -> float:
+    """The ``?wait=<seconds>`` long-poll bound (0 when absent)."""
+    value = query.get("wait")
+    if value is None:
+        return 0.0
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = -1.0
+    _require(
+        0.0 <= seconds < float("inf"),
+        "'wait' must be a nonnegative number of seconds",
+    )
+    return seconds
 
 
 def _parse_spec_field(body: Dict[str, Any]) -> AttackSpec:
@@ -194,7 +225,7 @@ def _parse_common(body: Dict[str, Any]) -> Dict[str, Any]:
     )
     out["max_retries"] = max_retries
     out["wait"] = bool(body.get("wait", False))
-    wait_timeout = body.get("wait_timeout", 30.0)
+    wait_timeout = body.get("wait_timeout", MAX_HOLD_SECONDS)
     _require(
         isinstance(wait_timeout, (int, float)) and wait_timeout > 0,
         "'wait_timeout' must be a positive number of seconds",
@@ -423,9 +454,11 @@ class ServiceApp:
             return 200, recorder.payload(trace_id)
         if path.startswith("/v1/jobs/"):
             _require(method == "GET", "use GET", 405)
+            wait = _query_wait(query)
             job = self.queue.get(path[len("/v1/jobs/") :])
             _require(job is not None, "unknown job id", 404)
-            return 200, job.describe()
+            assert job is not None
+            return 200, (await self._hold(job, wait)).describe()
         if path == "/v1/verify":
             _require(method == "POST", "use POST", 405)
             return await self._submit_verify(body)
@@ -489,7 +522,7 @@ class ServiceApp:
             max_retries=common["max_retries"],
             client=common["client"],
         )
-        return await self._answer_submission(job.id, common)
+        return await self._answer_submission(job, common)
 
     async def _submit_synthesize(
         self, body: Optional[Dict[str, Any]]
@@ -523,7 +556,7 @@ class ServiceApp:
             max_retries=common["max_retries"],
             client=common["client"],
         )
-        return await self._answer_submission(job.id, common)
+        return await self._answer_submission(job, common)
 
     def _ingest_incident(
         self, body: Optional[Dict[str, Any]]
@@ -555,16 +588,22 @@ class ServiceApp:
             "count": len(matches),
         }
 
+    async def _hold(self, job: Job, seconds: float) -> Job:
+        """``job`` once terminal, or as it stands after the capped hold."""
+        seconds = min(seconds, MAX_HOLD_SECONDS)
+        if job.state is JobState.QUEUED and job.deadline is not None:
+            # a queued job expires lazily: end the hold when it is due
+            seconds = min(seconds, job.deadline - time.monotonic())
+        if seconds > 0 and not job.state.terminal:
+            await self.queue.wait(job.id, timeout=seconds)
+        return self.queue.get(job.id) or job
+
     async def _answer_submission(
-        self, job_id: str, common: Dict[str, Any]
+        self, job: Job, common: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
-        if common["wait"]:
-            job = await self.queue.wait(job_id, timeout=common["wait_timeout"])
-            if job is not None and job.state.terminal:
-                return 200, job.describe()
-        job = self.queue.get(job_id)
-        assert job is not None
-        return 202, job.describe()
+        wait = common["wait_timeout"] if common["wait"] else 0.0
+        job = await self._hold(job, wait)
+        return (200 if wait and job.state.terminal else 202), job.describe()
 
     # ------------------------------------------------------------------
     def statsz(self) -> Dict[str, Any]:

@@ -343,6 +343,10 @@ class JobQueue:
         except asyncio.TimeoutError:
             return None
 
+    def take_nowait(self) -> Optional[Job]:
+        """Pop the next runnable job if one is queued right now, else ``None``."""
+        return self._pop_runnable()
+
     async def _take(self) -> Job:
         async with self._cond:
             while True:

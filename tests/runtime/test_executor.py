@@ -108,17 +108,26 @@ class TestVerifyMany:
 
 
 class TestCacheWiring:
-    def test_second_sweep_hits_cache(self):
-        specs = batch_specs()
+    @pytest.mark.parametrize(
+        "specs, unique",
+        [
+            (batch_specs(), 3),
+            # duplicates share their first index's lookup: hits count
+            # unique fingerprints, as the batching scheduler's stats do
+            ([batch_specs()[1]] * 3, 1),
+        ],
+    )
+    def test_second_sweep_hits_cache(self, specs, unique):
         cache = ResultCache()
         options = RuntimeOptions(cache=cache)
         first = verify_many(specs, options)
         assert all("cache_hit" not in r.statistics for r in first)
-        assert cache.stats.stores == len(specs)
+        assert cache.stats.stores == unique
 
         second = verify_many(specs, options)
         assert all(r.statistics.get("cache_hit") == 1 for r in second)
-        assert cache.stats.hits == len(specs)
+        assert cache.stats.hits == unique
+        assert len({id(r.statistics) for r in second}) == len(specs)
         for a, b in zip(first, second):
             assert a.outcome == b.outcome
             assert a.attack == b.attack

@@ -1,6 +1,7 @@
 """Batching scheduler: coalescing, dedup, retries, stats, shared sweep path."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -42,13 +43,18 @@ async def run_jobs(scheduler, queue, jobs, timeout=60.0):
 
 
 class TestSchedulerLifecycle:
-    def test_queue_batch_done(self):
+    @pytest.mark.parametrize("window", [0.01, 5.0])
+    def test_queue_batch_done(self, window):
         async def body():
             queue = JobQueue()
-            scheduler = BatchingScheduler(queue, RuntimeOptions(), window=0.01)
+            scheduler = BatchingScheduler(queue, RuntimeOptions(), window=window)
             job = await queue.submit("verify", verify_payload(make_spec()))
             assert job.state is JobState.QUEUED
+            started = time.monotonic()
             await run_jobs(scheduler, queue, [job])
+            # an idle queue dispatches at once: the window only bounds
+            # lingering while arrivals keep coming
+            assert time.monotonic() - started < 2.5
             assert job.state is JobState.DONE
             assert job.result["outcome"] in ("sat", "unsat")
             assert scheduler.stats.batches == 1

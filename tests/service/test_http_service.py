@@ -15,6 +15,7 @@ import pytest
 
 import repro.runtime.executor as executor_module
 import repro.service.batching as batching_module
+import repro.service.http as http_module
 from repro.core.io import write_spec
 from repro.core.spec import AttackGoal, AttackSpec, ResourceLimits
 from repro.grid.cases import ieee14
@@ -52,7 +53,10 @@ class TestBasics:
 
     def test_verify_round_trip_with_payload_spec(self, server):
         _, client = server
+        before = client.retry_stats["attempts"]
         job = client.verify(make_spec(), timeout=60)
+        # submit + server-side hold: one HTTP exchange on an idle server
+        assert client.retry_stats["attempts"] - before == 1
         assert job["state"] == "done"
         assert job["result"]["outcome"] == "sat"
         assert job["result"]["attack"] is not None
@@ -71,6 +75,36 @@ class TestBasics:
         _, client = server
         job = client.submit_verify(make_spec(), wait=True, wait_timeout=60)
         assert job["state"] == "done"
+
+    def test_job_long_poll(self, server):
+        _, client = server
+        job = client.submit_verify(make_spec(bus=4))
+        polled = client._request("GET", f"/v1/jobs/{job['id']}?wait=5")
+        assert polled["state"] == "done"
+        assert polled["result"]["outcome"] == "sat"
+
+    def test_holds_are_capped(self, server, monkeypatch):
+        _, client = server
+        release = threading.Event()
+        real = batching_module.verify_many
+
+        def slow(specs, options):
+            release.wait(timeout=10.0)
+            return real(specs, options)
+
+        monkeypatch.setattr(batching_module, "verify_many", slow)
+        monkeypatch.setattr(http_module, "MAX_HOLD_SECONDS", 0.05)
+        started = time.monotonic()
+        job = client.submit_verify(make_spec(), wait=True, wait_timeout=60)
+        assert job["state"] in ("queued", "running")
+        polled = client._request("GET", f"/v1/jobs/{job['id']}?wait=60")
+        assert polled["state"] in ("queued", "running")
+        assert time.monotonic() - started < 5.0
+        # the client keeps long-polling through capped holds
+        before = client.retry_stats["attempts"]
+        threading.Timer(0.3, release.set).start()
+        assert client.wait(job["id"], timeout=60)["state"] == "done"
+        assert client.retry_stats["attempts"] - before >= 2
 
     def test_synthesize_round_trip(self, server):
         _, client = server
@@ -122,6 +156,15 @@ class TestValidation:
                 {"spec": None, "spec_text": write_spec(make_spec()), "settings": {}},
             )
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("wait", ["abc", "-1", "nan", "inf"])
+    def test_malformed_wait_is_400(self, server, wait):
+        _, client = server
+        job = client.submit_verify(make_spec())
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/v1/jobs/{job['id']}?wait={wait}")
+        assert excinfo.value.status == 400
+        assert "wait" in excinfo.value.payload["error"]
 
     def test_unknown_job_is_404(self, server):
         _, client = server

@@ -145,9 +145,12 @@ class TestRouting:
     def test_job_poll_follows_owner(self, cluster):
         _, _, client = cluster
         job = client.submit_verify(make_spec())
+        before = client.retry_stats["attempts"]
         terminal = client.wait(job["id"], timeout=60)
         assert terminal["state"] == "done"
         assert terminal["replica"] == job["replica"]
+        # the router forwards ?wait= as is: the owner held one GET
+        assert client.retry_stats["attempts"] - before == 1
 
     def test_statsz_aggregates_replicas(self, cluster):
         _, handles, client = cluster
